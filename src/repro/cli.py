@@ -15,9 +15,6 @@ Usage::
     repro-mpi fuzz --iters 25 --corpus fuzz-corpus
     repro-mpi fuzz --budget 5m --corpus fuzz-corpus
     repro-mpi fuzz --corpus fuzz-corpus --replay <key>
-    repro-mpi serve --port 7463 &
-    repro-mpi worker --connect 127.0.0.1:7463 &
-    repro-mpi all --dispatch service --service 127.0.0.1:7463
     repro-mpi cache stats
     repro-mpi cache prune --figure fig9
     repro-mpi cache prune --older-than 7d --max-entries 2000
@@ -74,12 +71,10 @@ schedule, and persist it — content-hashed and deduplicated — into the
 ``--corpus`` directory as a derandomized reproduction.  ``--replay KEY``
 re-runs a stored entry and exits 0 once it no longer fails.
 
-``serve`` / ``worker`` run the long-lived experiment service
-(``repro.harness.service``): a job-queue server over the shared result
-cache plus pull-model workers.  Any engine-backed command (figures,
-``sweep``, ``verify``, ``fuzz``) targets it with ``--dispatch service
---service HOST:PORT`` (or ``REPRO_SERVICE_ADDR``); ``--dispatch``
-also selects the ``local-pool`` and ``inline`` in-process backends.
+``--jobs N`` on any engine-backed command (figures, ``sweep``,
+``verify``, ``fuzz``) fans each wave of independent jobs over a spawn
+pool of up to N worker processes; ``--jobs 1`` (the default) runs
+everything in-process.  Output is byte-identical either way.
 
 ``--bench-json PATH`` appends one machine-readable record per
 invocation (figures run, engine stats, wall time) so performance
@@ -108,7 +103,6 @@ from .harness import (
     run_oracles,
     run_plans,
 )
-from .harness.dispatch import DISPATCH_BACKENDS, DispatchError
 
 #: Which per-figure keyword each CLI flag maps to, per experiment.
 _PROCS_EXPERIMENTS = ("fig5a", "fig5b", "fig6", "fig8")
@@ -173,30 +167,6 @@ def _chosen_backend(args: argparse.Namespace) -> str | None:
     return None if backend == "auto" else backend
 
 
-def _add_dispatch_args(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--dispatch`` / ``--service`` selectors."""
-    parser.add_argument(
-        "--dispatch", choices=("auto",) + DISPATCH_BACKENDS, default=None,
-        help="job dispatch backend (default: auto — service when "
-             "$REPRO_SERVICE_ADDR is set, else local-pool; or "
-             "$REPRO_DISPATCH)",
-    )
-    parser.add_argument(
-        "--service", type=str, default=None, metavar="HOST:PORT",
-        help="experiment service address for --dispatch service "
-             "(default $REPRO_SERVICE_ADDR)",
-    )
-
-
-def _dispatch_kwargs(args: argparse.Namespace) -> dict:
-    """Map the CLI flags to engine dispatch overrides (``auto`` == unset)."""
-    dispatch = getattr(args, "dispatch", None)
-    return {
-        "dispatch": None if dispatch == "auto" else dispatch,
-        "service": getattr(args, "service", None),
-    }
-
-
 def _add_recovery_args(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--recover`` / ``--max-attempts`` flags."""
     parser.add_argument(
@@ -218,8 +188,7 @@ def _recovery_kwargs(args: argparse.Namespace) -> dict:
 
     ``--max-attempts`` also sets the process default policy *and*
     ``$REPRO_RECOVERY_ATTEMPTS``, so spawned pool workers — which start
-    from fresh interpreters — resolve the same budget (service workers
-    are remote processes and keep their own environment).
+    from fresh interpreters — resolve the same budget.
     """
     from .harness.recovery import RecoveryPolicy, set_default_policy
 
@@ -447,7 +416,6 @@ def _sweep_main(argv: list[str]) -> int:
                         help="process count for --study ckpt_freq/restart_chain")
     parser.add_argument("--jobs", "-j", type=_positive_int, default=1)
     _add_backend_arg(parser)
-    _add_dispatch_args(parser)
     _add_recovery_args(parser)
     parser.add_argument("--cache-dir", type=str, default=None)
     parser.add_argument("--no-cache", action="store_true")
@@ -549,9 +517,8 @@ def _sweep_main(argv: list[str]) -> int:
         engine = ExperimentEngine(jobs=args.jobs, cache=cache,
                                   progress=not args.quiet,
                                   backend=_chosen_backend(args),
-                                  **_dispatch_kwargs(args),
                                   **_recovery_kwargs(args))
-    except (DispatchError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     t0 = time.time()
     with engine:
@@ -596,7 +563,6 @@ def _verify_main(argv: list[str]) -> int:
                              "processes; the report sequence is "
                              "byte-identical to a serial sweep (default 1)")
     _add_backend_arg(parser)
-    _add_dispatch_args(parser)
     _add_recovery_args(parser)
     parser.add_argument("--cache-dir", type=str, default=None)
     parser.add_argument("--no-cache", action="store_true")
@@ -622,9 +588,8 @@ def _verify_main(argv: list[str]) -> int:
         _recovery_kwargs(args)  # export --max-attempts before any fan-out
         engine = ExperimentEngine(jobs=args.jobs, cache=cache,
                                   progress=False,
-                                  backend=_chosen_backend(args),
-                                  **_dispatch_kwargs(args))
-    except (DispatchError, ValueError) as exc:
+                                  backend=_chosen_backend(args))
+    except ValueError as exc:
         parser.error(str(exc))
 
     def progress(report) -> None:
@@ -641,7 +606,6 @@ def _verify_main(argv: list[str]) -> int:
     with engine:
         reports = run_oracles(
             names, seeds, engine=engine, progress=progress, jobs=args.jobs,
-            **_dispatch_kwargs(args),
         )
     elapsed = time.time() - t0
 
@@ -713,10 +677,9 @@ def _fuzz_main(argv: list[str]) -> int:
                         help="oracle to fuzz (repeatable; default: all)")
     parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
                         help="parallel oracle checks per iteration block "
-                             "through the dispatch seam; anomaly handling "
+                             "in worker processes; anomaly handling "
                              "(shrinking, corpus writes) stays serial in "
                              "this process (default 1)")
-    _add_dispatch_args(parser)
     _add_recovery_args(parser)
     parser.add_argument("--no-shrink", action="store_true",
                         help="persist failing schedules unminimized")
@@ -762,20 +725,16 @@ def _fuzz_main(argv: list[str]) -> int:
             print(f"[fuzz] {message}", file=sys.stderr, flush=True)
 
     _recovery_kwargs(args)  # export --max-attempts before any fan-out
-    try:
-        stats = run_fuzz(
-            corpus,
-            iters=args.iters,
-            budget=args.budget,
-            base_seed=args.base_seed,
-            oracles=args.oracle or None,
-            shrink=not args.no_shrink,
-            progress=progress,
-            jobs=args.jobs,
-            **_dispatch_kwargs(args),
-        )
-    except DispatchError as exc:
-        parser.error(str(exc))
+    stats = run_fuzz(
+        corpus,
+        iters=args.iters,
+        budget=args.budget,
+        base_seed=args.base_seed,
+        oracles=args.oracle or None,
+        shrink=not args.no_shrink,
+        progress=progress,
+        jobs=args.jobs,
+    )
     for entry in stats.anomalies:
         print(f"{entry.kind}: {entry.oracle} seed={entry.seed} -> "
               f"corpus entry {entry.key}")
@@ -805,147 +764,6 @@ def _amend_last_bench_record(path: str, **extra) -> None:
         fh.write("\n")
 
 
-def _serve_main(argv: list[str]) -> int:
-    """``repro-mpi serve`` — run the long-lived experiment service.
-
-    The server owns the job queue and the persistent job index and
-    advertises the shared result cache to workers; it runs no
-    simulations itself.  Stop with Ctrl-C.
-    """
-    from .harness.service import DEFAULT_HOST, DEFAULT_PORT, ExperimentServer
-
-    parser = argparse.ArgumentParser(
-        prog="repro-mpi serve",
-        description="Long-lived experiment service: accepts jobs from "
-                    "--dispatch service clients, hands them to pull-model "
-                    "`repro-mpi worker` processes, and answers repeats "
-                    "from the shared result cache",
-    )
-    parser.add_argument("--host", type=str, default=DEFAULT_HOST,
-                        help=f"listen address (default {DEFAULT_HOST})")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                        help=f"listen port; 0 picks a free one "
-                             f"(default {DEFAULT_PORT})")
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="shared result cache advertised to workers "
-                             "(default $REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="run store-less: every submission queues, "
-                             "workers keep results to themselves")
-    parser.add_argument("--index-dir", type=str, default=None,
-                        help="persistent job index directory (default "
-                             "<cache-dir>/service-index)")
-    parser.add_argument("--lease", type=float, default=None, metavar="SECONDS",
-                        help="per-job lease: requeue a running job whose "
-                             "worker has not finished or heartbeat within "
-                             "SECONDS (default: requeue only when the "
-                             "worker's connection drops)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-job lifecycle lines")
-    args = parser.parse_args(argv)
-    if args.lease is not None and args.lease <= 0:
-        parser.error("--lease must be positive")
-
-    cache_dir = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-        try:
-            cache.version_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            parser.error(f"cannot use cache directory {cache.root}: {exc}")
-        cache_dir = cache.root
-
-    server = ExperimentServer(
-        args.host, args.port,
-        cache_dir=cache_dir,
-        index_dir=args.index_dir,
-        lease=args.lease,
-        progress=not args.quiet,
-    )
-    host, port = server.start()
-    print(f"[serve] listening on {host}:{port} "
-          f"(workers: repro-mpi worker --connect {host}:{port}; "
-          f"clients: --dispatch service --service {host}:{port})",
-          file=sys.stderr, flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-    return 0
-
-
-def _worker_main(argv: list[str]) -> int:
-    """``repro-mpi worker`` — pull-model executor for the service.
-
-    Connects to a running ``repro-mpi serve``, long-polls for jobs, and
-    executes them with the same engine job body an in-process run uses.
-    Exits 0 when the server shuts down (or after ``--max-jobs``).
-    """
-    from .harness.dispatch import parse_address
-    from .harness.service import run_worker
-
-    parser = argparse.ArgumentParser(
-        prog="repro-mpi worker",
-        description="Pull-model experiment-service worker: fetches jobs "
-                    "from a `repro-mpi serve` instance and writes results "
-                    "(including checkpoint images) into the shared cache",
-    )
-    parser.add_argument("--connect", type=str, required=True,
-                        metavar="HOST:PORT",
-                        help="experiment service address")
-    _add_backend_arg(parser)
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="override the server-advertised artifact "
-                             "store (rarely needed; must be shared with "
-                             "clients for warm-cache reruns)")
-    parser.add_argument("--max-jobs", type=_positive_int, default=None,
-                        help="exit after executing N jobs (default: run "
-                             "until the server shuts down)")
-    parser.add_argument("--connect-retries", type=int, default=5,
-                        metavar="N",
-                        help="retry the initial connection up to N times "
-                             "with capped exponential backoff, so workers "
-                             "may be launched before their server "
-                             "(default 5; 0 fails fast)")
-    parser.add_argument("--connect-backoff", type=float, default=0.5,
-                        metavar="SECONDS",
-                        help="first connect-retry delay; doubles per "
-                             "attempt, capped at 15s (default 0.5)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress lines")
-    args = parser.parse_args(argv)
-    if args.connect_retries < 0:
-        parser.error("--connect-retries must be >= 0")
-    if args.connect_backoff < 0:
-        parser.error("--connect-backoff must be >= 0")
-
-    try:
-        addr = parse_address(args.connect)
-    except DispatchError as exc:
-        parser.error(str(exc))
-    try:
-        executed = run_worker(
-            addr,
-            sim_backend=_chosen_backend(args),
-            cache_dir=args.cache_dir,
-            max_jobs=args.max_jobs,
-            connect_retries=args.connect_retries,
-            connect_backoff=args.connect_backoff,
-            progress=not args.quiet,
-        )
-    except KeyboardInterrupt:
-        return 130
-    except (DispatchError, OSError) as exc:
-        print(f"[worker] {exc}", file=sys.stderr)
-        return 1
-    if not args.quiet:
-        print(f"[worker] done: {executed} job(s) executed",
-              file=sys.stderr, flush=True)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -957,10 +775,6 @@ def main(argv: list[str] | None = None) -> int:
         return _verify_main(argv[1:])
     if argv and argv[0] == "fuzz":
         return _fuzz_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return _worker_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-mpi",
         description=(
@@ -995,7 +809,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
                         help="parallel simulation worker processes (default 1)")
     _add_backend_arg(parser)
-    _add_dispatch_args(parser)
     _add_recovery_args(parser)
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="result cache directory "
@@ -1019,10 +832,9 @@ def main(argv: list[str] | None = None) -> int:
         engine = ExperimentEngine(
             jobs=args.jobs, cache=cache, progress=not args.quiet,
             backend=_chosen_backend(args),
-            **_dispatch_kwargs(args),
             **_recovery_kwargs(args),
         )
-    except (DispatchError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
 
     names = sorted(PLANNERS) if args.experiment == "all" else [args.experiment]

@@ -20,15 +20,12 @@ values — typically every cell of one or several figures at once — and:
    model — the wall time recorded in the cache when the spec last ran,
    falling back to a ``nprocs × niters`` heuristic — so the slowest job
    starts first and the pool never idles behind a stragglers' tail;
-5. **fans out** the remaining unique jobs through a pluggable dispatch
-   backend (:mod:`repro.harness.dispatch`): the default ``local-pool``
-   keeps the spawn-safe ``ProcessPoolExecutor`` (``jobs=N``), ``inline``
-   runs every job in-process for debugging, and ``service`` ships jobs
-   over a socket to a long-lived experiment server
-   (:mod:`repro.harness.service`) whose pull-model workers share the
-   content-addressed cache as their artifact store.  Every backend
-   applies the per-job ``max_events`` guard and honours the optional
-   progress lines on stderr.
+5. **fans out** the remaining unique jobs through :func:`fan_out`:
+   ``jobs=1`` (or a one-job wave) runs every job in-process, ``jobs=N``
+   runs each wave on a spawn-context ``ProcessPoolExecutor`` of
+   ``min(N, len(wave))`` workers.  Either way the per-job
+   ``max_events`` guard applies and optional progress lines go to
+   stderr.
 
 Results are keyed by spec and identical whether the batch ran serially
 or in parallel — workers only ever execute independent simulations, and
@@ -44,8 +41,10 @@ from __future__ import annotations
 
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from multiprocessing import get_context
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..des.backends import (
     get_default_backend,
@@ -53,13 +52,6 @@ from ..des.backends import (
     set_default_backend,
 )
 from .cache import ResultCache
-from .dispatch import (
-    DispatchBackend,
-    DispatchConfig,
-    create_dispatch,
-    resolve_dispatch,
-    resolve_service_addr,
-)
 from .runner import RunResult
 from .spec import RunSpec, execute
 
@@ -67,6 +59,7 @@ __all__ = [
     "EngineStats",
     "ExperimentEngine",
     "DEFAULT_MAX_EVENTS",
+    "fan_out",
     "HEURISTIC_SECONDS_PER_UNIT",
 ]
 
@@ -188,6 +181,32 @@ def _execute_job(
             set_default_backend(previous_backend)
 
 
+def fan_out(
+    fn: Callable, tasks: Sequence[tuple], jobs: int, *, ordered: bool = False
+) -> Iterator[tuple[int, object]]:
+    """Call ``fn(*task)`` for every task; yield ``(index, value)`` pairs.
+
+    ``jobs == 1`` or a single task runs in-process, in task order.
+    Otherwise the tasks go to a spawn-context ``ProcessPoolExecutor`` of
+    ``min(jobs, len(tasks))`` workers that lives for this call only, and
+    values are yielded as they complete (in task order with
+    ``ordered=True``).  Spawn, not fork: simulations build deep object
+    graphs and numpy state, and forking a warm parent is where the
+    subtle bugs live.  ``fn`` must be a module-level function so the
+    pool can pickle it by name.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        for index, task in enumerate(tasks):
+            yield index, fn(*task)
+        return
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)), mp_context=get_context("spawn")
+    ) as pool:
+        futures = {pool.submit(fn, *task): i for i, task in enumerate(tasks)}
+        for future in futures if ordered else as_completed(futures):
+            yield futures[future], future.result()
+
+
 class ExperimentEngine:
     """Executes batches of run specs with dedupe, caching, and parallelism.
 
@@ -201,13 +220,6 @@ class ExperimentEngine:
             name is resolved to a concrete backend *here* and forwarded
             to spawned workers, so serial and parallel execution always
             run the same backend.
-        dispatch: job-dispatch backend (``None`` = the process default
-            / ``REPRO_DISPATCH`` / auto — see
-            :mod:`repro.harness.dispatch`).  ``local-pool`` is the
-            historical pool, ``inline`` runs in-process, ``service``
-            ships jobs to a long-lived ``repro-mpi serve`` server.
-        service: ``HOST:PORT`` of the experiment service (``service``
-            dispatch only; falls back to ``$REPRO_SERVICE_ADDR``).
         recovery: automatic crash recovery for submitted specs whose
             results crashed.  ``None``/``False`` disables (callers can
             still opt in per batch with ``run_batch(..., recover=True)``,
@@ -220,9 +232,9 @@ class ExperimentEngine:
             cache keeps every leg, including the crashed ones, under
             their own keys.
 
-    The engine is a context manager; ``close()`` releases dispatch
-    resources (the service connection).  Both are optional for the
-    in-process backends.
+    The engine is also a context manager.  ``close()`` has nothing to
+    release (each wave's pool shuts down with the wave), so both are
+    optional.
     """
 
     def __init__(
@@ -233,8 +245,6 @@ class ExperimentEngine:
         max_events: int | None = DEFAULT_MAX_EVENTS,
         progress: bool = False,
         backend: str | None = None,
-        dispatch: str | None = None,
-        service: str | None = None,
         recovery=None,
     ):
         self.jobs = max(1, int(jobs))
@@ -242,40 +252,11 @@ class ExperimentEngine:
         self.max_events = max_events
         self.progress = progress
         self.backend = resolve_backend(backend)
-        self.dispatch = resolve_dispatch(dispatch)
-        # Resolve the address eagerly: a service engine with no server
-        # to talk to should fail at construction, not mid-batch.
-        self.service_addr = (
-            resolve_service_addr(service) if self.dispatch == "service" else None
-        )
         self.recovery = recovery
         self.last_stats: EngineStats | None = None
-        self._dispatcher: DispatchBackend | None = None
-
-    def _dispatch_backend(self) -> DispatchBackend:
-        """The engine's (lazily created, engine-lived) dispatch backend.
-
-        Long-lived on purpose: the service connection persists across
-        waves and batches, so a sweep is one client session server-side.
-        """
-        if self._dispatcher is None:
-            self._dispatcher = create_dispatch(
-                self.dispatch,
-                DispatchConfig(
-                    jobs=self.jobs,
-                    cache_dir=None if self.cache is None else self.cache.root,
-                    guard=self.max_events,
-                    sim_backend=self.backend,
-                    service_addr=self.service_addr,
-                ),
-            )
-        return self._dispatcher
 
     def close(self) -> None:
-        """Release dispatch resources (idempotent)."""
-        if self._dispatcher is not None:
-            self._dispatcher.close()
-            self._dispatcher = None
+        """Release nothing: kept so callers can close any engine."""
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -399,25 +380,19 @@ class ExperimentEngine:
             # equal-cost specs in submission order (determinism).
             pending.sort(key=lambda spec: self._predicted_cost(spec, stats),
                          reverse=True)
-            for spec, result, elapsed, served, cached in self._execute_wave(
+            for spec, result, elapsed, served in self._execute_wave(
                 pending, resolved
             ):
                 resolved[spec] = result
-                if cached:
-                    # Served from the service's shared store without a
-                    # simulation anywhere — a cache hit, just one that
-                    # was discovered server-side instead of locally.
-                    stats.cache_hits += 1
-                else:
-                    stats.executed += 1
+                stats.executed += 1
                 stats.images_reused += served
                 done += 1
-                self._report(done, total, spec, "cached" if cached else "ran")
-                if self.cache is not None and not cached:
+                self._report(done, total, spec, "ran")
+                if self.cache is not None:
                     self.cache.put(spec, result, elapsed=elapsed)
 
-        # Automatic crash recovery: after every wave has drained (so the
-        # dispatch backend is idle and each leg can batch on its own),
+        # Automatic crash recovery: after every wave has drained (so no
+        # pool is live and each leg can batch on its own),
         # chase submitted specs whose results crashed with a bounded
         # restart chain.  Only the *returned map* sees the substitution —
         # the cache keeps the crashed leg under its own key, and the
@@ -455,7 +430,7 @@ class ExperimentEngine:
     def run_recovery(self, spec: RunSpec, policy=None, *, leg_faults=()):
         """Run one spec under explicit crash recovery (see
         :func:`repro.harness.recovery.run_recovery`); legs execute
-        through this engine's cache and dispatch backend."""
+        through this engine's cache and workers."""
         from .recovery import run_recovery
 
         return run_recovery(
@@ -487,21 +462,25 @@ class ExperimentEngine:
         self,
         pending: Sequence[RunSpec],
         resolved: Mapping[RunSpec, RunResult],
-    ) -> Iterable[tuple[RunSpec, RunResult, float, int, bool]]:
-        """Fan one wave out through the dispatch backend.
+    ) -> Iterable[tuple[RunSpec, RunResult, float, int]]:
+        """Fan one wave out through :func:`fan_out`.
 
-        Yields ``(spec, result, elapsed, served, cached)`` in whatever
-        order the backend completes jobs; the caller keys by spec, so
-        ordering only affects progress lines, never results.
+        Yields ``(spec, result, elapsed, served)`` in completion order;
+        the caller keys by spec, so ordering only affects progress
+        lines, never results.  The job body is looked up as the module
+        global ``_execute_job`` on every wave, so a monkeypatched runner
+        sees every in-process execution.
         """
-        if not pending:
-            return
-        backend = self._dispatch_backend()
-        for spec in pending:
-            backend.submit(spec, self._deps_for(spec, resolved))
-        for job in backend.drain():
-            result, elapsed, served, cached = job.result()
-            yield job.spec, result, elapsed, served, cached
+        cache_dir = None if self.cache is None else self.cache.root
+        tasks = [
+            (spec, self._deps_for(spec, resolved), self.max_events,
+             cache_dir, self.backend)
+            for spec in pending
+        ]
+        for index, (result, elapsed, served) in fan_out(
+            _execute_job, tasks, self.jobs
+        ):
+            yield pending[index], result, elapsed, served
 
     def _report(self, done: int, total: int, spec: RunSpec, how: str) -> None:
         if self.progress:

@@ -70,8 +70,6 @@ __all__ = [
     "spec_from_dict",
     "run_result_to_dict",
     "run_result_from_dict",
-    "job_to_dict",
-    "job_from_dict",
     "checkpoint_record_to_dict",
     "checkpoint_record_from_dict",
     "image_is_stripped",
@@ -935,60 +933,4 @@ def run_result_from_dict(data: Mapping[str, Any]) -> RunResult:
         drain_buffered=list(data.get("drain_buffered", ())),
         drain_consumed=list(data.get("drain_consumed", ())),
         drain_leftover=list(data.get("drain_leftover", ())),
-    )
-
-
-def job_to_dict(
-    spec: RunSpec,
-    deps: Mapping[RunSpec, RunResult] | None = None,
-    *,
-    guard: int | None = None,
-    sim_backend: "str | None" = None,
-) -> dict:
-    """JSON-representable form of one dispatchable simulation job.
-
-    This is the experiment service's wire format: the spec, the
-    already-resolved ancestor results :func:`execute` needs, the
-    ``max_events`` guard, and the *resolved* kernel execution backend —
-    everything a worker on the far side of a socket needs to reproduce
-    the submitting engine's in-process execution byte-for-byte.  Deps
-    are serialized via :func:`run_result_to_dict`, so image payloads are
-    dropped exactly as they are in the result cache; workers recover
-    them from the shared image tier or by parent re-simulation, the
-    same degradation path a warm cache already exercises.
-    """
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "sim",
-        "spec": spec_to_dict(spec),
-        "deps": [
-            {"spec": spec_to_dict(dep), "result": run_result_to_dict(res)}
-            for dep, res in (deps or {}).items()
-        ],
-        "guard": guard,
-        "sim_backend": sim_backend,
-    }
-
-
-def job_from_dict(
-    data: Mapping[str, Any],
-) -> "tuple[RunSpec, dict[RunSpec, RunResult], int | None, str | None]":
-    """Inverse of :func:`job_to_dict`; returns
-    ``(spec, deps, guard, sim_backend)``."""
-    schema = data.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ValueError(
-            f"serialized job has schema {schema}, expected {SCHEMA_VERSION}"
-        )
-    if data.get("kind", "sim") != "sim":
-        raise ValueError(f"not a simulation job: kind={data.get('kind')!r}")
-    deps = {
-        spec_from_dict(entry["spec"]): run_result_from_dict(entry["result"])
-        for entry in data.get("deps", ())
-    }
-    return (
-        spec_from_dict(data["spec"]),
-        deps,
-        data.get("guard"),
-        data.get("sim_backend"),
     )

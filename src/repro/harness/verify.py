@@ -32,6 +32,7 @@ permits, ``--bench-json``, failing-seed artifact on mismatch).
 from __future__ import annotations
 
 import tempfile
+import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Sequence
@@ -42,7 +43,7 @@ from ..des.errors import DeadlockError, SchedulingError
 from ..scenarios import SCENARIOS
 from ..util.hashing import stable_json_hash
 from .cache import ResultCache
-from .engine import ExperimentEngine
+from .engine import ExperimentEngine, fan_out
 from .runner import RunResult
 from .spec import (
     RunSpec,
@@ -361,10 +362,9 @@ class FaultSchedule:
 def schedule_to_dict(schedule: FaultSchedule) -> dict:
     """JSON-stable form of a schedule (tuples become lists).
 
-    This is both the fuzz corpus format and the dispatch layer's
-    check-job wire format: a schedule round-trips the JSON boundary
-    bit-exact, so a check runs identically in-process, in a pool
-    worker, or on a service worker.
+    This is the fuzz corpus format: a schedule round-trips the JSON
+    boundary bit-exact, so a stored entry replays exactly the check
+    that found it.
     """
     out = asdict(schedule)
     out["completion_fracs"] = list(schedule.completion_fracs)
@@ -1150,8 +1150,8 @@ class RecoveryChainOracle(Oracle):
 
         # Every leg runs in-process through a private engine: the chain
         # is the subject under test, so its execution must not depend on
-        # whatever dispatch backend the sweep itself fans out with.
-        leg_engine = ExperimentEngine(dispatch="inline")
+        # how many workers the sweep itself fans out over.
+        leg_engine = ExperimentEngine()
         # Budget: enough for every armed hop plus slack, and never less
         # than the resolved default (--max-attempts can only raise it —
         # a user-lowered budget must not fail chains by construction).
@@ -1222,17 +1222,16 @@ class ScenarioInvarianceOracle(Oracle):
     Per scenario: the checkpointed run commits, drain conservation
     holds on every rank, safe-cut structure matches the offline
     topological-sort fixpoint, and the serialized result is
-    byte-identical across the ``threads``/``inline`` execution backends
-    and the ``inline``/``local-pool``/``service`` dispatch backends —
-    a scenario may change *what happens*, never *whether it is
-    deterministic*.
+    byte-identical across ``threads``/``inline`` execution and
+    serial/pool dispatch — a scenario may change *what happens*, never
+    *whether it is deterministic*.
     """
 
     name = "scenario-invariance"
     description = (
         "every registered scenario commits, conserves drains, keeps the "
-        "safe cut, and is byte-identical across execution and dispatch "
-        "backends"
+        "safe cut, and is byte-identical across threads/inline execution "
+        "and serial/pool dispatch"
     )
     cache_aware = False
 
@@ -1242,13 +1241,11 @@ class ScenarioInvarianceOracle(Oracle):
             name: replace(schedule, scenario=name).checkpoint_spec()
             for name in names
         }
-        # Execution backends, in-process dispatch: the reference hashes.
+        # Execution backends, serial dispatch: the reference hashes.
         ref: "dict[str, str]" = {}
         for name in names:
             for backend in ("threads", "inline"):
-                res = ExperimentEngine(
-                    backend=backend, dispatch="inline"
-                ).run(specs[name])
+                res = ExperimentEngine(backend=backend).run(specs[name])
                 self._require(
                     not res.na_reason, f"{name}/{backend}: NA: {res.na_reason}"
                 )
@@ -1266,59 +1263,24 @@ class ScenarioInvarianceOracle(Oracle):
                         f"{name}: inline-backend result {digest} != "
                         f"threads {ref[name]}",
                     )
-        # Dispatch backends: the same specs as one batch per backend.
+        # Pool dispatch: the same specs as one batch over two workers.
         batch = [specs[name] for name in names]
-        pool = ExperimentEngine(jobs=2, dispatch="local-pool").run_batch(batch)
+        pool = ExperimentEngine(jobs=2).run_batch(batch)
         for name in names:
             digest = stable_json_hash(run_result_to_dict(pool[specs[name]]))
             self._require(
                 digest == ref[name],
-                f"{name}: local-pool result {digest} != inline dispatch "
+                f"{name}: pool result {digest} != serial dispatch "
                 f"{ref[name]}",
             )
-        self._service_pass(batch, specs, ref)
         # Safe-cut structure under every scenario.
         for name in names:
             _safe_cut_detail(schedule, scenario=name)
         return (
             f"{len(names)} scenario(s) committed, conserved, cut-safe, and "
             "byte-identical across threads/inline execution and "
-            "inline/local-pool/service dispatch"
+            "serial/pool dispatch"
         )
-
-    def _service_pass(
-        self,
-        batch: "list[RunSpec]",
-        specs: "dict[str, RunSpec]",
-        ref: "dict[str, str]",
-    ) -> None:
-        import threading
-
-        from .service import ExperimentServer, run_worker
-
-        with tempfile.TemporaryDirectory(prefix="repro-scenario-") as tmp:
-            server = ExperimentServer("127.0.0.1", 0, cache_dir=tmp)
-            host, port = server.start()
-            worker = threading.Thread(
-                target=run_worker, args=((host, port),), daemon=True
-            )
-            worker.start()
-            try:
-                results = ExperimentEngine(
-                    dispatch="service", service=f"{host}:{port}"
-                ).run_batch(batch)
-                for name in sorted(specs):
-                    digest = stable_json_hash(
-                        run_result_to_dict(results[specs[name]])
-                    )
-                    self._require(
-                        digest == ref[name],
-                        f"{name}: service result {digest} != inline dispatch "
-                        f"{ref[name]}",
-                    )
-            finally:
-                server.shutdown()
-                worker.join(timeout=10)
 
 
 #: Oracle catalog, ``--oracle`` spelling -> instance.
@@ -1337,9 +1299,14 @@ ORACLES: "dict[str, Oracle]" = {
 }
 
 
-def _check_one(name: str, seed: int) -> dict:
-    """Top-level worker entry point (picklable by name for spawn)."""
-    return ORACLES[name].check(seed).as_dict()
+def timed_check(
+    name: str, schedule: FaultSchedule
+) -> "tuple[OracleReport, float]":
+    """One oracle check and its wall duration (the fuzzer's cost-model
+    input); the job body :func:`run_oracles` and the fuzzer fan out."""
+    t0 = time.perf_counter()
+    report = ORACLES[name].check_schedule(schedule)
+    return report, time.perf_counter() - t0
 
 
 def run_oracles(
@@ -1349,30 +1316,19 @@ def run_oracles(
     engine: "ExperimentEngine | None" = None,
     progress=None,
     jobs: int = 1,
-    dispatch: "str | None" = None,
-    service: "str | None" = None,
 ) -> "list[OracleReport]":
     """Sweep the named oracles over ``seeds``; returns every report.
 
     ``progress``, if given, is called with each report as it lands.
     Unknown oracle names raise ``KeyError`` with the catalog spelled out.
 
-    ``jobs > 1`` fans the (oracle, seed) grid through the job-dispatch
-    seam (:mod:`repro.harness.dispatch`): ``local-pool`` keeps the
-    historical spawn-safe pool, ``inline`` runs in-process, ``service``
-    ships each check to an experiment-service fleet.  Reports come back
-    in the same (oracle-order, seed-order) sequence as a serial sweep
-    and carry the same contents — each check is an independent
-    simulation, so the fan-out can only change wall time, never a
-    report (``tests/verify`` pins the byte-identity).
+    ``jobs > 1`` fans the (oracle, seed) grid over a spawn pool
+    (:func:`repro.harness.engine.fan_out`).  Reports come back in the
+    same (oracle-order, seed-order) sequence as a serial sweep and carry
+    the same contents — each check is an independent simulation, so the
+    fan-out can only change wall time, never a report (``tests/verify``
+    pins the byte-identity).
     """
-    from .dispatch import (
-        DispatchConfig,
-        create_dispatch,
-        resolve_dispatch,
-        resolve_service_addr,
-    )
-
     seeds = list(seeds)
     tasks: list[tuple[str, int]] = []
     for name in names:
@@ -1383,44 +1339,18 @@ def run_oracles(
         tasks.extend((name, seed) for seed in seeds)
 
     reports: list[OracleReport] = []
-    resolved = resolve_dispatch(dispatch)
-    # The serial fast path keeps the caller's (cache-aware) engine in
-    # the loop; a service sweep routes through the seam even at jobs=1
-    # — that's the point of asking for it.
-    if resolved != "service" and (jobs <= 1 or len(tasks) <= 1):
-        for name, seed in tasks:
-            report = ORACLES[name].check(seed, engine)
-            reports.append(report)
-            if progress is not None:
-                progress(report)
-        return reports
-
-    backend = create_dispatch(
-        resolved,
-        DispatchConfig(
-            jobs=jobs,
-            service_addr=(
-                resolve_service_addr(service) if resolved == "service" else None
-            ),
-        ),
-    )
-    with backend:
-        handles = [
-            backend.submit_check(
-                name, schedule_to_dict(FaultSchedule.draw(seed))
-            )
-            for name, seed in tasks
-        ]
-        # Collect in submission order, not completion order: the report
-        # sequence (and any serialized artifact) must be byte-identical
-        # to a serial sweep's.
-        for (name, seed), handle in zip(tasks, handles):
-            doc = dict(handle.result()["report"])
-            # A drawn schedule re-checked via check_schedule reports its
-            # own seed; assert rather than trust blindly.
-            doc.setdefault("oracle", name)
-            report = OracleReport(**doc)
-            reports.append(report)
-            if progress is not None:
-                progress(report)
+    # The serial path keeps the caller's (cache-aware) engine in the
+    # loop; the pool path draws each schedule here and checks it in a
+    # worker.  Collection is in task order either way, so the report
+    # sequence (and any serialized artifact) matches a serial sweep's.
+    if jobs <= 1 or len(tasks) <= 1:
+        checked = (ORACLES[name].check(seed, engine) for name, seed in tasks)
+    else:
+        drawn = [(name, FaultSchedule.draw(seed)) for name, seed in tasks]
+        pooled = fan_out(timed_check, drawn, jobs, ordered=True)
+        checked = (report for _, (report, _dur) in pooled)
+    for report in checked:
+        reports.append(report)
+        if progress is not None:
+            progress(report)
     return reports

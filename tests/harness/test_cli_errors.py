@@ -176,3 +176,27 @@ class TestTopLevelRejections:
             capsys, ["fig5a", "--procs", "4,eight"],
             "expected comma-separated integers",
         )
+
+
+# --------------------------------------------------------------------- #
+# removed surface: the experiment service and dispatch selectors
+# --------------------------------------------------------------------- #
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize("command", ["serve", "worker"])
+    def test_service_subcommands_are_gone(self, capsys, command):
+        _expect_usage_error(
+            capsys, [command], f"invalid choice: '{command}'"
+        )
+
+    def test_dispatch_flag_is_gone(self, capsys):
+        _expect_usage_error(
+            capsys, ["all", "--dispatch", "local-pool"],
+            "unrecognized arguments: --dispatch local-pool",
+        )
+
+    def test_service_flag_is_gone(self, capsys):
+        _expect_usage_error(
+            capsys, ["sweep", "--service", "h:1"],
+            "unrecognized arguments: --service h:1",
+        )

@@ -3,8 +3,8 @@
 Pinned here: the policy resolution ladder, image-restart vs
 degrade-to-scratch planning, multi-hop crash storms under a retry
 budget, chain content-hashing, the engine's auto-recovery seam — and
-byte-identity of a full recovery chain across all three dispatch
-backends (inline, local-pool, service).
+byte-identity of a full recovery chain between in-process execution
+(``jobs=1``) and a two-worker pool (``jobs=2``).
 """
 
 import json
@@ -20,7 +20,6 @@ from repro.harness.recovery import (
     run_recovery,
     set_default_policy,
 )
-from repro.harness.service import ExperimentServer, run_worker
 from repro.harness.spec import RunSpec, execute, run_result_to_dict
 from repro.harness.verify import result_fingerprint
 from repro.netmodel import StorageModel
@@ -176,7 +175,7 @@ class TestEngineAutoRecovery:
     def test_engine_recovers_crashed_jobs(self, base_fp):
         spec = _crash_spec()
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline", recovery=True
+            cache=None, progress=False, recovery=True
         ) as eng:
             results = eng.run_batch([spec])
         assert results[spec].crashed_ranks == []
@@ -187,30 +186,24 @@ class TestEngineAutoRecovery:
 
     def test_recovery_off_by_default(self):
         spec = _crash_spec()
-        with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
-        ) as eng:
+        with ExperimentEngine(cache=None, progress=False) as eng:
             results = eng.run_batch([spec])
         assert results[spec].crashed_ranks == [1]
         assert eng.last_stats.recoveries == 0
 
     def test_per_batch_opt_in_and_opt_out(self):
         spec = _crash_spec()
-        with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
-        ) as eng:
+        with ExperimentEngine(cache=None, progress=False) as eng:
             assert eng.run_batch([spec], recover=True)[spec].crashed_ranks == []
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline", recovery=True
+            cache=None, progress=False, recovery=True
         ) as eng:
             assert eng.run_batch(
                 [spec], recover=False
             )[spec].crashed_ranks == [1]
 
     def test_engine_run_recovery_uses_custom_policy(self):
-        with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
-        ) as eng:
+        with ExperimentEngine(cache=None, progress=False) as eng:
             outcome = eng.run_recovery(
                 _crash_spec(),
                 RecoveryPolicy(max_attempts=1),
@@ -221,7 +214,7 @@ class TestEngineAutoRecovery:
 
 
 class TestBackendByteIdentity:
-    """One recovery chain, three dispatch backends, identical bytes."""
+    """One recovery chain, in-process and pooled, identical bytes."""
 
     LEG_FAULTS = [((2, 0.4),)]
 
@@ -238,43 +231,16 @@ class TestBackendByteIdentity:
             run_result_to_dict(outcome.final_result), sort_keys=True
         )
 
-    def test_chain_identical_across_all_backends(self, tmp_path):
-        import threading
-
-        with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
-        ) as eng:
+    def test_chain_identical_across_all_backends(self):
+        with ExperimentEngine(cache=None, progress=False) as eng:
             reference = self._chain(eng)
         assert reference.completed
 
-        with ExperimentEngine(
-            cache=None, progress=False, dispatch="local-pool", jobs=2
-        ) as eng:
+        with ExperimentEngine(cache=None, progress=False, jobs=2) as eng:
             pooled = self._chain(eng)
 
-        server = ExperimentServer(
-            "127.0.0.1", 0, cache_dir=tmp_path / "store"
-        )
-        host, port = server.start()
-        worker = threading.Thread(
-            target=run_worker, args=((host, port),), daemon=True
-        )
-        worker.start()
-        try:
-            with ExperimentEngine(
-                cache=None, progress=False,
-                dispatch="service", service=f"{host}:{port}",
-            ) as eng:
-                served = self._chain(eng)
-        finally:
-            server.shutdown()
-            worker.join(timeout=30)
-
-        want = self._final_bytes(reference)
-        assert self._final_bytes(pooled) == want
-        assert self._final_bytes(served) == want
+        assert self._final_bytes(pooled) == self._final_bytes(reference)
         assert pooled.chain_key() == reference.chain_key()
-        assert served.chain_key() == reference.chain_key()
-        assert [a.restarted_from for a in served.attempts] == [
+        assert [a.restarted_from for a in pooled.attempts] == [
             a.restarted_from for a in reference.attempts
         ]

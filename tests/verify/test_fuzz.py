@@ -338,6 +338,23 @@ class TestFuzzLoop:
         with pytest.raises(KeyError, match="unknown oracle"):
             run_fuzz(CorpusDB(tmp_path / "c"), iters=1, oracles=["nope"])
 
+    def test_fuzz_parallel_matches_serial(self, tmp_path):
+        # jobs=2 runs the checks on the real spawn pool; the corpus and
+        # stats must match the in-process run exactly.
+        oracles = ["safe-cut", "engine"]
+        serial_corpus = CorpusDB(tmp_path / "serial")
+        serial = run_fuzz(serial_corpus, iters=3, oracles=oracles)
+        parallel_corpus = CorpusDB(tmp_path / "parallel")
+        parallel = run_fuzz(parallel_corpus, iters=3, oracles=oracles, jobs=2)
+        assert parallel.iterations == serial.iterations == 3
+        assert parallel.checks == serial.checks == 6
+        assert sorted(e.key for e in parallel_corpus.entries()) == sorted(
+            e.key for e in serial_corpus.entries()
+        )
+        assert [e.key for e in parallel.anomalies] == [
+            e.key for e in serial.anomalies
+        ]
+
 
 class TestBrokenSessionMutation:
     """Acceptance: a deliberately-broken tree yields a corpus entry whose
